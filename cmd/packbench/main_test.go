@@ -2,11 +2,47 @@ package main
 
 import (
 	"flag"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"packunpack/internal/transport"
 )
+
+// TestMain lets a test run this binary as packbench itself: with
+// PACKBENCH_RUN_MAIN=1 in the environment, the process executes main on
+// its command-line arguments instead of the tests.
+func TestMain(m *testing.M) {
+	if os.Getenv("PACKBENCH_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestProfilesWrittenOnRealBackend pins that -cpuprofile and
+// -memprofile work on the real backend, whose run used to return
+// before profiling started and left no files behind.
+func TestProfilesWrittenOnRealBackend(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	cmd := exec.Command(os.Args[0], "-backend", "real", "-quick", "-cpuprofile", cpu, "-memprofile", mem)
+	cmd.Env = append(os.Environ(), "PACKBENCH_RUN_MAIN=1")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("packbench -backend real failed: %v\n%s", err, out)
+	}
+	for _, path := range []string{cpu, mem} {
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatalf("profile not written: %v", err)
+		}
+		if st.Size() == 0 {
+			t.Fatalf("%s is empty", path)
+		}
+	}
+}
 
 // TestSimOnlyFlagsFailFastUnderRealBackend pins the flag-hygiene
 // contract: every sim-only flag must be rejected, by name, when the
@@ -37,7 +73,7 @@ func TestBackendNeutralFlagsPass(t *testing.T) {
 			t.Errorf("real backend rejected %v: %v", set, err)
 		}
 	}
-	if err := checkBackendFlags(transport.BackendSim, []string{"faults", "sched", "trace-dir", "plan-gate", "flight-dir", "exp"}); err != nil {
+	if err := checkBackendFlags(transport.BackendSim, []string{"faults", "trace-dir", "plan-gate", "flight-dir", "exp"}); err != nil {
 		t.Errorf("sim backend rejected sim flags: %v", err)
 	}
 }

@@ -26,8 +26,8 @@ package comm
 // why every collective (barrier, broadcast, gather, prefix-reduction-
 // sum, all-to-all) completes with byte-identical results under any
 // fault schedule. Determinism is inherited from the fault layer: all
-// decisions hash from (seed, rank, attempt counter), so both
-// scheduler modes replay identical faults and identical recoveries.
+// decisions hash from (seed, rank, attempt counter), so every rerun
+// replays identical faults and identical recoveries.
 //
 // The SkipEmpty probe channel (SendFree) stays outside the protocol:
 // it is documented as zero-cost out-of-band knowledge, i.e. modelled

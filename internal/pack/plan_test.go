@@ -35,7 +35,7 @@ type planOutputs struct {
 	size    int
 }
 
-func planExecCase(t *testing.T, l *dist.Layout, gen mask.Gen, opt Options, sched sim.Sched,
+func planExecCase(t *testing.T, l *dist.Layout, gen mask.Gen, opt Options,
 	body func(p *sim.Proc, a []int, m []bool, v []int, nPrime int, field []int) (*Result[int], *UnpackResult[int])) planOutputs {
 	t.Helper()
 	n := l.GlobalSize()
@@ -58,7 +58,7 @@ func planExecCase(t *testing.T, l *dist.Layout, gen mask.Gen, opt Options, sched
 	locals := dist.Scatter(l, global)
 	fLocals := dist.Scatter(l, fGlobal)
 
-	m := sim.MustNew(sim.Config{Procs: l.Procs(), Sched: sched})
+	m := sim.MustNew(sim.Config{Procs: l.Procs()})
 	out := planOutputs{packV: make([][]int, l.Procs()), size: size}
 	aLocals := make([][]int, l.Procs())
 	err = m.Run(func(p *sim.Proc) {
@@ -78,8 +78,8 @@ func planExecCase(t *testing.T, l *dist.Layout, gen mask.Gen, opt Options, sched
 	return out
 }
 
-// TestPlanMatchesUnplanned sweeps layouts, masks, schemes, vector block
-// sizes and both schedulers, executing each configuration three ways —
+// TestPlanMatchesUnplanned sweeps layouts, masks, schemes and vector
+// block sizes, executing each configuration three ways —
 // unplanned, explicit CompilePlan+PlanPack/PlanUnpack, and the
 // transparent cache path called twice (cold compile, then cache hit) —
 // and requires byte-identical vector and array results.
@@ -97,84 +97,84 @@ func TestPlanMatchesUnplanned(t *testing.T) {
 		for mname, gen := range gens {
 			for _, scheme := range []Scheme{SchemeSSS, SchemeCSS, SchemeCMS} {
 				for _, vw := range []int{0, 3} {
-					for _, sched := range []sim.Sched{sim.SchedCooperative, sim.SchedGoroutine} {
-						opt := Options{Scheme: scheme, VectorW: vw}
-						uopt := opt
-						if scheme == SchemeCMS {
-							uopt.Scheme = SchemeCSS // CMS is PACK-only
-						}
-						name := fmt.Sprintf("%s/%s/%s/w%d/sched%d", lname, mname, scheme, vw, sched)
-						t.Run(name, func(t *testing.T) {
-							base := planExecCase(t, l, gen, opt, sched, func(p *sim.Proc, a []int, m []bool, v []int, nPrime int, field []int) (*Result[int], *UnpackResult[int]) {
-								pr, err := Pack(p, l, a, m, opt)
-								if err != nil {
-									panic(err)
-								}
-								ur, err := Unpack(p, l, v, nPrime, m, field, uopt)
-								if err != nil {
-									panic(err)
-								}
-								return pr, ur
-							})
-
-							explicit := planExecCase(t, l, gen, opt, sched, func(p *sim.Proc, a []int, m []bool, v []int, nPrime int, field []int) (*Result[int], *UnpackResult[int]) {
-								pl, err := CompilePlan(p, l, m, opt)
-								if err != nil {
-									panic(err)
-								}
-								pr, err := PlanPack(p, pl, a)
-								if err != nil {
-									panic(err)
-								}
-								upl, err := CompilePlan(p, l, m, uopt)
-								if err != nil {
-									panic(err)
-								}
-								ur, err := PlanUnpack(p, upl, v, field)
-								if err != nil {
-									panic(err)
-								}
-								return pr, ur
-							})
-
-							cache := NewPlanCache()
-							copt, cuopt := opt, uopt
-							copt.Plans, cuopt.Plans = cache, cache
-							var warm planOutputs
-							for call := 0; call < 2; call++ {
-								warm = planExecCase(t, l, gen, opt, sched, func(p *sim.Proc, a []int, m []bool, v []int, nPrime int, field []int) (*Result[int], *UnpackResult[int]) {
-									pr, err := Pack(p, l, a, m, copt)
-									if err != nil {
-										panic(err)
-									}
-									ur, err := Unpack(p, l, v, nPrime, m, field, cuopt)
-									if err != nil {
-										panic(err)
-									}
-									return pr, ur
-								})
-							}
-							st := cache.Stats()
-							if st.Hits == 0 || st.Misses == 0 {
-								t.Fatalf("cache saw hits=%d misses=%d; want both cold misses and warm hits", st.Hits, st.Misses)
-							}
-
-							for rank := range base.packV {
-								if !reflect.DeepEqual(explicit.packV[rank], base.packV[rank]) {
-									t.Fatalf("rank %d: explicit plan V %v, unplanned %v", rank, explicit.packV[rank], base.packV[rank])
-								}
-								if !reflect.DeepEqual(warm.packV[rank], base.packV[rank]) {
-									t.Fatalf("rank %d: cached plan V %v, unplanned %v", rank, warm.packV[rank], base.packV[rank])
-								}
-							}
-							if !reflect.DeepEqual(explicit.unpackA, base.unpackA) {
-								t.Fatalf("explicit plan A %v, unplanned %v", explicit.unpackA, base.unpackA)
-							}
-							if !reflect.DeepEqual(warm.unpackA, base.unpackA) {
-								t.Fatalf("cached plan A %v, unplanned %v", warm.unpackA, base.unpackA)
-							}
-						})
+					opt := Options{Scheme: scheme, VectorW: vw}
+					uopt := opt
+					if scheme == SchemeCMS {
+						uopt.Scheme = SchemeCSS // CMS is PACK-only
 					}
+					// The trailing sched1 segment (the cooperative scheduler's
+					// former option value) keeps subtest names stable.
+					name := fmt.Sprintf("%s/%s/%s/w%d/sched1", lname, mname, scheme, vw)
+					t.Run(name, func(t *testing.T) {
+						base := planExecCase(t, l, gen, opt, func(p *sim.Proc, a []int, m []bool, v []int, nPrime int, field []int) (*Result[int], *UnpackResult[int]) {
+							pr, err := Pack(p, l, a, m, opt)
+							if err != nil {
+								panic(err)
+							}
+							ur, err := Unpack(p, l, v, nPrime, m, field, uopt)
+							if err != nil {
+								panic(err)
+							}
+							return pr, ur
+						})
+
+						explicit := planExecCase(t, l, gen, opt, func(p *sim.Proc, a []int, m []bool, v []int, nPrime int, field []int) (*Result[int], *UnpackResult[int]) {
+							pl, err := CompilePlan(p, l, m, opt)
+							if err != nil {
+								panic(err)
+							}
+							pr, err := PlanPack(p, pl, a)
+							if err != nil {
+								panic(err)
+							}
+							upl, err := CompilePlan(p, l, m, uopt)
+							if err != nil {
+								panic(err)
+							}
+							ur, err := PlanUnpack(p, upl, v, field)
+							if err != nil {
+								panic(err)
+							}
+							return pr, ur
+						})
+
+						cache := NewPlanCache()
+						copt, cuopt := opt, uopt
+						copt.Plans, cuopt.Plans = cache, cache
+						var warm planOutputs
+						for call := 0; call < 2; call++ {
+							warm = planExecCase(t, l, gen, opt, func(p *sim.Proc, a []int, m []bool, v []int, nPrime int, field []int) (*Result[int], *UnpackResult[int]) {
+								pr, err := Pack(p, l, a, m, copt)
+								if err != nil {
+									panic(err)
+								}
+								ur, err := Unpack(p, l, v, nPrime, m, field, cuopt)
+								if err != nil {
+									panic(err)
+								}
+								return pr, ur
+							})
+						}
+						st := cache.Stats()
+						if st.Hits == 0 || st.Misses == 0 {
+							t.Fatalf("cache saw hits=%d misses=%d; want both cold misses and warm hits", st.Hits, st.Misses)
+						}
+
+						for rank := range base.packV {
+							if !reflect.DeepEqual(explicit.packV[rank], base.packV[rank]) {
+								t.Fatalf("rank %d: explicit plan V %v, unplanned %v", rank, explicit.packV[rank], base.packV[rank])
+							}
+							if !reflect.DeepEqual(warm.packV[rank], base.packV[rank]) {
+								t.Fatalf("rank %d: cached plan V %v, unplanned %v", rank, warm.packV[rank], base.packV[rank])
+							}
+						}
+						if !reflect.DeepEqual(explicit.unpackA, base.unpackA) {
+							t.Fatalf("explicit plan A %v, unplanned %v", explicit.unpackA, base.unpackA)
+						}
+						if !reflect.DeepEqual(warm.unpackA, base.unpackA) {
+							t.Fatalf("cached plan A %v, unplanned %v", warm.unpackA, base.unpackA)
+						}
+					})
 				}
 			}
 		}
@@ -191,7 +191,7 @@ func TestPlanCacheCounters(t *testing.T) {
 	opt := Options{Scheme: SchemeCSS, Plans: cache}
 	const calls = 5
 	for call := 0; call < calls; call++ {
-		planExecCase(t, l, gen, Options{Scheme: SchemeCSS}, sim.SchedCooperative, func(p *sim.Proc, a []int, m []bool, v []int, nPrime int, field []int) (*Result[int], *UnpackResult[int]) {
+		planExecCase(t, l, gen, Options{Scheme: SchemeCSS}, func(p *sim.Proc, a []int, m []bool, v []int, nPrime int, field []int) (*Result[int], *UnpackResult[int]) {
 			pr, err := Pack(p, l, a, m, opt)
 			if err != nil {
 				panic(err)
@@ -215,7 +215,7 @@ func TestPlanCacheCounters(t *testing.T) {
 }
 
 // TestPlanCacheRaceSharedAcrossMachines hammers one cache from several
-// concurrently running goroutine-scheduled machines (run under
+// concurrently running machines (run under
 // -race in CI): the unanimity vote must keep every machine consistent
 // even while another machine's compiled plans land in the shared map
 // mid-lookup, and every machine must still produce the oracle result.
@@ -239,7 +239,7 @@ func TestPlanCacheRaceSharedAcrossMachines(t *testing.T) {
 		wg.Add(1)
 		go func(mi int) {
 			defer wg.Done()
-			m := sim.MustNew(sim.Config{Procs: l.Procs(), Sched: sim.SchedGoroutine})
+			m := sim.MustNew(sim.Config{Procs: l.Procs()})
 			results := make([]*Result[int], l.Procs())
 			err := m.Run(func(p *sim.Proc) {
 				lm := mask.FillLocal(l, p.Rank(), gen)

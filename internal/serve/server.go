@@ -29,10 +29,6 @@ type Config struct {
 	// BackendSim (virtual clock, deterministic, the default) or
 	// BackendReal (host-parallel, wall clock).
 	Backend transport.Backend
-	// Sched is the sim backend's scheduling mode (ignored by the real
-	// backend). SchedCooperative gives per-job deterministic virtual
-	// makespans.
-	Sched sim.Sched
 	// Params are the cost-model constants each machine carries.
 	Params sim.Params
 	// Metrics, when non-nil, instruments the service (and every
@@ -251,7 +247,6 @@ func (s *Server) machineFor(cache map[int]transport.Machine, procs int) (transpo
 	m, err := transport.New(s.cfg.Backend, sim.Config{
 		Procs:   procs,
 		Params:  s.cfg.Params,
-		Sched:   s.cfg.Sched,
 		Metrics: s.cfg.Metrics,
 		Faults:  s.cfg.Chaos,
 	})

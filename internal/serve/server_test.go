@@ -47,9 +47,6 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 	if cfg.Params == (sim.Params{}) {
 		cfg.Params = sim.CM5Params()
 	}
-	if cfg.Sched == 0 {
-		cfg.Sched = sim.SchedCooperative
-	}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -5,15 +5,14 @@ import (
 	"strings"
 )
 
-// This file is the cooperative execution mode (Config.Sched =
-// SchedCooperative). The P processor bodies still live on goroutines —
-// each needs its own stack to block in the middle of an algorithm —
-// but they run strictly one at a time: the runnable processor with the
-// smallest virtual clock (ties broken by rank, so runs are fully
-// deterministic) holds the baton until it blocks in Recv with no
-// matching message, finishes, or panics, and then resumes its successor
-// directly. Handoffs go through one-slot channels — the sender performs
-// no scheduler work after the send, which enforces the
+// This file is the emulator's scheduler. The P processor bodies live on
+// goroutines — each needs its own stack to block in the middle of an
+// algorithm — but they run strictly one at a time: the runnable
+// processor with the smallest virtual clock (ties broken by rank, so
+// runs are fully deterministic) holds the baton until it blocks in Recv
+// with no matching message, finishes, or panics, and then resumes its
+// successor directly. Handoffs go through one-slot channels — the
+// sender performs no scheduler work after the send, which enforces the
 // one-runner-at-a-time invariant, and the send happens-before the
 // matching receive, which makes the lock-free mailbox access race-safe.
 //
@@ -22,9 +21,8 @@ import (
 // timing: the moment no processor is runnable while some are blocked,
 // the machine is proven deadlocked (no matching message exists anywhere
 // for any waiter) and every waiter is unwound immediately with a full
-// wait-for diagnostic. The goroutine mode's polling watch, its 2 ms
-// trip latency, and its epoch/stability heuristics have no counterpart
-// here.
+// wait-for diagnostic: no polling, no trip latency, no sensitivity to
+// host load.
 //
 // Two design points keep the scheduling overhead off the critical path
 // on large machines:
@@ -163,9 +161,9 @@ func (c *coopSched) yieldBlocked(rank, src, tag int) bool {
 	return <-c.resume[rank]
 }
 
-// takeCoop is the cooperative-mode receive: scan the queue, and if no
-// message matches, hand the baton to the next processor. No locks — the
-// scheduler guarantees exclusive access.
+// takeCoop is the receive: scan the queue, and if no message matches,
+// hand the baton to the next processor. No locks — the scheduler
+// guarantees exclusive access.
 func (b *mailbox) takeCoop(c *coopSched, rank, src, tag int) message {
 	for {
 		for i := range b.queue {
@@ -174,7 +172,7 @@ func (b *mailbox) takeCoop(c *coopSched, rank, src, tag int) message {
 			}
 		}
 		if !c.yieldBlocked(rank, src, tag) {
-			panic(deadlockError{rank: rank, src: src, tag: tag})
+			panic(deadlockUnwind{})
 		}
 	}
 }

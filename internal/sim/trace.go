@@ -18,7 +18,7 @@ package sim
 // body end), so a tight scan loop of N Charge calls produces one event,
 // not N. Events carry no pointers into simulator state; buffers are
 // per-processor and only the owning processor appends, which keeps the
-// goroutine mode race-free without locks.
+// real backend, whose ranks emit concurrently, race-free without locks.
 
 // EventKind enumerates the structured trace event types.
 type EventKind uint8
@@ -114,11 +114,11 @@ type Event struct {
 	// Kind discriminates the record; see the EventKind constants for
 	// which of the remaining fields are meaningful.
 	Kind EventKind
-	// Seq is the event's sequence number. Under the cooperative
-	// scheduler it is a machine-global counter, so the total order of
-	// events is deterministic across runs; under the goroutine scheduler
-	// it is per-processor (per-rank streams are still ordered, but the
-	// interleaving between ranks is whatever the host produced).
+	// Seq is the event's sequence number. On the emulator it is a
+	// machine-global counter, so the total order of events is
+	// deterministic across runs; on the real backend it is per-processor
+	// (per-rank streams are still ordered, but the interleaving between
+	// ranks is whatever the host produced).
 	Seq uint64
 	// Rank is the processor whose timeline the event belongs to.
 	Rank int
@@ -142,26 +142,25 @@ type Event struct {
 	// recorded (for EvPhase, the phase being switched to).
 	Phase string
 	// MsgID identifies a message across its send, delivery, and receive
-	// events; it is unique within a run and deterministic in both
-	// scheduler modes (rank-qualified send counter). Zero means "not a
+	// events; it is unique within a run and deterministic
+	// (rank-qualified send counter). Zero means "not a
 	// message event" or "tracing was off when the message was sent".
 	MsgID uint64
 }
 
 // EventSink receives every trace event as it is produced, in timeline
 // order per processor. Emit is called by the logical processor that
-// owns the event: under the cooperative scheduler calls are fully
-// serialized, under the goroutine scheduler different ranks call
-// concurrently and the sink must be safe for that. Implementations
+// owns the event: on the emulator calls are fully serialized, but on
+// the real backend different ranks call concurrently, so the sink must
+// be safe for that. Implementations
 // must be cheap — they run on the emulator's hot path.
 type EventSink interface {
 	Emit(Event)
 }
 
 // msgID builds the rank-qualified message id: the sender's rank in the
-// high bits, its running send count in the low bits. Deterministic in
-// both scheduler modes because each processor numbers only its own
-// sends.
+// high bits, its running send count in the low bits. Deterministic
+// because each processor numbers only its own sends.
 func msgID(rank int, n uint64) uint64 {
 	return uint64(rank)<<40 | n
 }
@@ -181,16 +180,12 @@ func (p *Proc) tracing() bool {
 	return p.m.cfg.Trace || p.m.cfg.Sink != nil || p.m.cfg.Flight != nil
 }
 
-// nextSeq returns the next event sequence number: machine-global (and
-// therefore deterministic) under the cooperative scheduler, per-rank
-// under the goroutine scheduler.
+// nextSeq returns the next event sequence number. The counter is
+// machine-global, and the scheduler runs one processor at a time in a
+// deterministic order, so the numbering is identical on every run.
 func (p *Proc) nextSeq() uint64 {
-	if p.cs != nil {
-		p.m.seq++
-		return p.m.seq
-	}
-	p.seq++
-	return p.seq
+	p.m.seq++
+	return p.m.seq
 }
 
 // emit stamps and records one event. Callers must have flushed any

@@ -24,7 +24,7 @@ package transport
 // always nil here and the reliable transport's fault path never
 // engages.
 //
-// Deadlock handling is heuristic, like the emulator's goroutine mode:
+// Deadlock handling is heuristic, unlike the emulator's exact proof:
 // a watchdog samples a global progress counter, and when every live
 // processor has been parked in Recv with no delivery for several
 // consecutive scans, the run is declared wedged and every waiter is
@@ -70,8 +70,8 @@ type RealConfig struct {
 	// counterpart of sim.Config.Trace.
 	Trace bool
 	// Sink, when non-nil, additionally streams every event as it is
-	// produced. Ranks call Emit concurrently (like the emulator's
-	// goroutine mode); the sink must be safe for that.
+	// produced. Ranks call Emit concurrently; the sink must be safe for
+	// that.
 	Sink sim.EventSink
 	// Flight, when non-nil, keeps the most recent events of every rank
 	// in fixed-size ring buffers (sim/flight.go) regardless of Trace —
@@ -297,8 +297,7 @@ func (m *RealMachine) abort(peerPanic bool) {
 
 // watchdog declares the machine wedged when every live processor has
 // been parked in Recv with zero message traffic across several
-// consecutive scans. Heuristic by design (like the emulator's
-// goroutine-mode monitor): a notify token can be in flight during one
+// consecutive scans. Heuristic by design: a notify token can be in flight during one
 // scan, but not across 50 ms of total stillness.
 func (m *RealMachine) watchdog(stop chan struct{}) {
 	const scans = 5
@@ -378,12 +377,12 @@ type realProc struct {
 
 	// Telemetry state; zero/nil when the machine has none configured,
 	// so every hot-path guard below is a single predictable branch.
-	tr       bool          // record/stream trace events
-	met      *procMeters   // pre-resolved metric handles, nil = off
-	events   []sim.Event   // per-rank event buffer (RealConfig.Trace)
-	seq      uint64        // per-rank event sequence number
-	sends    uint64        // per-rank message counter for MsgID
-	stashLen int           // current tag-mismatch stash size, all sources
+	tr       bool        // record/stream trace events
+	met      *procMeters // pre-resolved metric handles, nil = off
+	events   []sim.Event // per-rank event buffer (RealConfig.Trace)
+	seq      uint64      // per-rank event sequence number
+	sends    uint64      // per-rank message counter for MsgID
+	stashLen int         // current tag-mismatch stash size, all sources
 }
 
 func (p *realProc) Rank() int          { return p.rank }

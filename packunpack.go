@@ -138,17 +138,6 @@ type Stats = sim.Stats
 // PhaseStats is a per-phase virtual-time breakdown.
 type PhaseStats = sim.PhaseStats
 
-// Sched selects the machine's execution mode (Config.Sched).
-type Sched = sim.Sched
-
-const (
-	// SchedGoroutine runs the processors concurrently on goroutines.
-	SchedGoroutine = sim.SchedGoroutine
-	// SchedCooperative runs them one at a time in deterministic
-	// (virtual clock, rank) order with exact deadlock detection.
-	SchedCooperative = sim.SchedCooperative
-)
-
 // FaultConfig is a seeded, deterministic fault-injection plan for the
 // emulated network (Config.Faults): message drop, duplication,
 // reordering, extra delay and transient processor stalls. With a plan
