@@ -76,10 +76,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "packbench: %v\n", err)
 		os.Exit(2)
 	}
-	if *realGate != 0 && backend != transport.BackendReal {
-		fmt.Fprintf(os.Stderr, "packbench: -real-gate needs -backend real\n")
-		os.Exit(2)
-	}
 	if err := checkBackendFlags(backend, setFlagNames(flag.CommandLine)); err != nil {
 		fmt.Fprintf(os.Stderr, "packbench: %v\n", err)
 		os.Exit(2)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"os"
 	"os/exec"
@@ -48,7 +49,10 @@ func TestProfilesWrittenOnRealBackend(t *testing.T) {
 // contract: every sim-only flag must be rejected, by name, when the
 // real backend is selected — never silently ignored.
 func TestSimOnlyFlagsFailFastUnderRealBackend(t *testing.T) {
-	for name := range simOnlyFlags {
+	for name, only := range backendOnlyFlags {
+		if only.backend != transport.BackendSim {
+			continue
+		}
 		err := checkBackendFlags(transport.BackendReal, []string{name})
 		if err == nil {
 			t.Errorf("-%s under -backend real: want error, got nil", name)
@@ -57,6 +61,34 @@ func TestSimOnlyFlagsFailFastUnderRealBackend(t *testing.T) {
 		if !strings.Contains(err.Error(), "-"+name) || !strings.Contains(err.Error(), "sim-only") {
 			t.Errorf("-%s error does not name the flag as sim-only: %v", name, err)
 		}
+	}
+}
+
+// TestRealOnlyFlagsFailFastUnderSimBackend is the mirror contract:
+// every real-only flag is rejected, by name, under the sim backend,
+// through the same table and code path, and the packbench binary exits
+// 2 on it before running anything.
+func TestRealOnlyFlagsFailFastUnderSimBackend(t *testing.T) {
+	realOnly := 0
+	for name, only := range backendOnlyFlags {
+		if only.backend != transport.BackendReal {
+			continue
+		}
+		realOnly++
+		err := checkBackendFlags(transport.BackendSim, []string{name})
+		if err == nil || !strings.Contains(err.Error(), "-"+name) || !strings.Contains(err.Error(), "real-only") {
+			t.Errorf("-%s under -backend sim: want an error naming it real-only, got %v", name, err)
+		}
+	}
+	if realOnly == 0 {
+		t.Fatal("no real-only flag in the table; -real-gate must be one")
+	}
+	cmd := exec.Command(os.Args[0], "-real-gate", "2.0")
+	cmd.Env = append(os.Environ(), "PACKBENCH_RUN_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "-real-gate is real-only") {
+		t.Fatalf("packbench -real-gate under the default sim backend: err %v, output:\n%s", err, out)
 	}
 }
 

@@ -14,12 +14,11 @@ import (
 // ranking stage (a collective) runs once up front; the compose
 // functions themselves are pure local work, so they can be measured
 // after the machine run on a quiet heap.
-func composeAllocs(t *testing.T, n int, compose func(p *sim.Proc, l *dist.Layout, a []int, m []bool, rnk *ranking.Result, vec dist.VectorDist)) float64 {
+func composeAllocs(t *testing.T, n int, compose func(p *sim.Proc, l *dist.Layout, a []int, rnk *ranking.Result, vec dist.VectorDist)) float64 {
 	t.Helper()
 	l := dist.MustLayout(dist.Dim{N: n, P: 4, W: 8})
 	machine := sim.MustNew(sim.Config{Procs: 4})
 	var rnk *ranking.Result
-	var m []bool
 	var proc *sim.Proc
 	err := machine.Run(func(p *sim.Proc) {
 		lm := mask.FillLocal(l, p.Rank(), mask.NewRandom(0.5, 7, n))
@@ -29,7 +28,6 @@ func composeAllocs(t *testing.T, n int, compose func(p *sim.Proc, l *dist.Layout
 		}
 		if p.Rank() == 0 {
 			rnk = r
-			m = lm
 			proc = p
 		}
 	})
@@ -47,7 +45,7 @@ func composeAllocs(t *testing.T, n int, compose func(p *sim.Proc, l *dist.Layout
 	// Charging against a finished machine's rank-0 proc is harmless:
 	// it only advances that proc's (no longer read) virtual clock.
 	return testing.AllocsPerRun(20, func() {
-		compose(proc, l, a, m, rnk, vec)
+		compose(proc, l, a, rnk, vec)
 	})
 }
 
@@ -59,16 +57,16 @@ func composeAllocs(t *testing.T, n int, compose func(p *sim.Proc, l *dist.Layout
 func TestComposeHotPathAllocations(t *testing.T) {
 	const maxAllocs = 10.0
 	for _, n := range []int{1024, 8192} {
-		css := composeAllocs(t, n, func(p *sim.Proc, l *dist.Layout, a []int, m []bool, rnk *ranking.Result, vec dist.VectorDist) {
+		css := composeAllocs(t, n, func(p *sim.Proc, l *dist.Layout, a []int, rnk *ranking.Result, vec dist.VectorDist) {
 			send := make([][]pair[int], 4)
-			composePairsCSS(p, l, a, m, rnk, vec, send, false)
+			composePairsCSS(p, l.Dims[0].W, a, rnk, vec, send, false)
 		})
 		if css > maxAllocs {
 			t.Errorf("composePairsCSS(n=%d): %.0f allocs/run, want <= %.0f (send lists must be exact-sized)", n, css, maxAllocs)
 		}
-		cms := composeAllocs(t, n, func(p *sim.Proc, l *dist.Layout, a []int, m []bool, rnk *ranking.Result, vec dist.VectorDist) {
+		cms := composeAllocs(t, n, func(p *sim.Proc, l *dist.Layout, a []int, rnk *ranking.Result, vec dist.VectorDist) {
 			send := make([][]segMsg[int], 4)
-			composeSegmentsCMS(p, l, a, m, rnk, vec, send, false)
+			composeSegmentsCMS(p, l.Dims[0].W, a, rnk, vec, send, false)
 		})
 		if cms > maxAllocs {
 			t.Errorf("composeSegmentsCMS(n=%d): %.0f allocs/run, want <= %.0f (segment/data arenas must be exact-sized)", n, cms, maxAllocs)

@@ -31,6 +31,7 @@ import (
 
 	"packunpack/internal/comm"
 	"packunpack/internal/dist"
+	"packunpack/internal/mask"
 	"packunpack/internal/ranking"
 	"packunpack/internal/transport"
 )
@@ -195,21 +196,21 @@ func packImpl[T any](p transport.Endpoint, l *dist.Layout, a []T, m []bool, opt 
 		if opt.Scheme == SchemeSSS {
 			composePairsSSS(p, a, rnk, vec, send)
 		} else {
-			composePairsCSS(p, l, a, m, rnk, vec, send, opt.WholeSliceScan)
+			composePairsCSS(p, l.Dims[0].W, a, rnk, vec, send, opt.WholeSliceScan)
 		}
 		prev := p.SetPhase(PhaseM2M)
 		recv := comm.AlltoallVOpt(world, send, 2, opt.A2A)
 		p.SetPhase(prev)
+		own := ownerCursor{vec: vec}
 		for _, buf := range recv {
 			p.Charge(2 * len(buf)) // message decomposition
 			for _, pr := range buf {
-				_, lo := vec.Owner(pr.Rank)
-				res.V[lo] = pr.Datum
+				res.V[own.localIndex(pr.Rank)] = pr.Datum
 			}
 		}
 	case SchemeCMS:
 		send := make([][]segMsg[T], p.NProcs())
-		composeSegmentsCMS(p, l, a, m, rnk, vec, send, opt.WholeSliceScan)
+		composeSegmentsCMS(p, l.Dims[0].W, a, rnk, vec, send, opt.WholeSliceScan)
 		words := make([]int, len(send))
 		for i := range send {
 			words[i] = segWords(send[i])
@@ -217,11 +218,11 @@ func packImpl[T any](p transport.Endpoint, l *dist.Layout, a []T, m []bool, opt 
 		prev := p.SetPhase(PhaseM2M)
 		recv := comm.AlltoallVW(world, send, words, opt.A2A)
 		p.SetPhase(prev)
+		own := ownerCursor{vec: vec}
 		for _, buf := range recv {
 			for _, seg := range buf {
 				p.Charge(2 + len(seg.Data)) // header + data decomposition
-				_, lo := vec.Owner(seg.Base)
-				copy(res.V[lo:], seg.Data)
+				copy(res.V[own.localIndex(seg.Base):], seg.Data)
 			}
 		}
 	default:
@@ -260,52 +261,80 @@ func carvePairArena[T any](send [][]pair[T], counts []int) {
 // from the records saved by the simple storage scheme.
 func composePairsSSS[T any](p transport.Endpoint, a []T, rnk *ranking.Result, vec dist.VectorDist, send [][]pair[T]) {
 	counts := make([]int, len(send))
+	own := ownerCursor{vec: vec}
 	for _, rec := range rnk.Records {
-		dst, _ := vec.Owner(rnk.RankOf(rec))
+		dst, _ := own.at(rnk.RankOf(rec))
 		counts[dst]++
 	}
 	carvePairArena(send, counts)
+	own = ownerCursor{vec: vec}
 	for _, rec := range rnk.Records {
 		r := rnk.RankOf(rec)
-		dst, _ := vec.Owner(r)
+		dst, _ := own.at(r)
 		send[dst] = append(send[dst], pair[T]{Datum: a[rec.Off], Rank: r})
 	}
 	p.Charge(2 * len(rnk.Records)) // write datum and rank per element
 }
 
-// sliceGeom captures the dimension-0 slice arithmetic of a layout.
-type sliceGeom struct {
-	l0, w0, t0, slices int
+// ownerCursor caches the span of one vector-distribution block that
+// the last looked-up rank fell in: its owner, its end and the
+// owner-local index of its first rank. Ranks rise within the block in
+// local scan order (the global row-major order is monotone in the
+// local one) and within every received message, so a lookup pays
+// Owner's and BlockRunEnd's divisions only when it leaves the cached
+// span. Any order of lookups is exact; only the hit rate depends on
+// it.
+type ownerCursor struct {
+	vec        dist.VectorDist
+	start, end int // the cached rank span [start, end)
+	dst, local int // its owner, and the owner-local index of start
 }
 
-func geomOf(l *dist.Layout) sliceGeom {
-	return sliceGeom{l0: l.Dims[0].L(), w0: l.Dims[0].W, t0: l.Dims[0].T(), slices: l.Slices()}
-}
-
-func (g sliceGeom) base(slice int) int {
-	return ranking.SliceBase(slice, g.l0, g.w0, g.t0)
-}
-
-// collectSlice appends the data values of the selected elements of a
-// slice, in order, to buf, charging the scan per the chosen policy:
-// stop as soon as all count elements are found (the paper's measured
-// default) or always scan the whole slice.
-func collectSlice[T any](p transport.Endpoint, g sliceGeom, a []T, m []bool, slice, count int, whole bool, buf []T) []T {
-	base := g.base(slice)
-	found := 0
-	scanned := 0
-	for i := 0; i < g.w0; i++ {
-		scanned++
-		if m[base+i] {
-			buf = append(buf, a[base+i])
-			found++
-			if found == count && !whole {
-				break
-			}
-		}
+// at returns the owner of rank r and the exclusive end of r's block.
+func (c *ownerCursor) at(r int) (dst, end int) {
+	if r < c.start || r >= c.end {
+		c.seek(r)
 	}
-	p.Charge(scanned + count) // element reads + datum writes
-	return buf
+	return c.dst, c.end
+}
+
+// localIndex returns rank r's index on its owner.
+func (c *ownerCursor) localIndex(r int) int {
+	if r < c.start || r >= c.end {
+		c.seek(r)
+	}
+	return c.local + r - c.start
+}
+
+func (c *ownerCursor) seek(r int) {
+	c.dst, c.local = c.vec.Owner(r)
+	c.start, c.end = r, c.vec.BlockRunEnd(r)
+}
+
+// chargeRescan charges a compact-scheme slice rescan that moves moved
+// data values: the elements read — the stop-early scan up to the
+// need-th selected element (the paper's measured default), or the
+// whole slice under WholeSliceScan — plus one datum write per value.
+func chargeRescan(p transport.Endpoint, words []uint64, lo, w0, need, moved int, whole bool) {
+	scan := w0
+	if !whole {
+		scan = mask.ScanLen(words, lo, lo+w0, need)
+	}
+	p.Charge(scan + moved) // element reads + datum writes
+}
+
+// collectSlice writes the data values of the count selected elements
+// of a slice, in order, to dst, and charges the rescan up to the last
+// of them.
+func collectSlice[T any](p transport.Endpoint, words []uint64, w0 int, a []T, slice, count int, whole bool, dst []T) {
+	lo, hi := ranking.SliceBase(slice, w0), ranking.SliceBase(slice+1, w0)
+	k := 0
+	it := mask.Ones(words, lo, hi)
+	for off, ok := it.Next(); ok; off, ok = it.Next() {
+		dst[k] = a[off]
+		k++
+	}
+	chargeRescan(p, words, lo, w0, count, count, whole)
 }
 
 // forEachRankRun walks the rank runs of the compact schemes: for every
@@ -314,20 +343,15 @@ func collectSlice[T any](p transport.Endpoint, g sliceGeom, a []T, m []bool, sli
 // piece at a time, in compose order. The walk only reads the ranking
 // slice counters, so the compose functions use it as an uncharged
 // sizing pre-pass.
-func forEachRankRun(rnk *ranking.Result, vec dist.VectorDist, slices int, fn func(dst, cnt int)) {
-	for slice := 0; slice < slices; slice++ {
-		n := rnk.PSc[slice]
-		if n == 0 {
-			continue
-		}
-		r := rnk.PSf[slice]
-		taken := 0
-		for taken < n {
-			dst, _ := vec.Owner(r)
-			c := min(vec.BlockRunEnd(r)-r, n-taken)
+func forEachRankRun(rnk *ranking.Result, vec dist.VectorDist, fn func(dst, cnt int)) {
+	own := ownerCursor{vec: vec}
+	for slice, n := range rnk.PSc {
+		for r := rnk.PSf[slice]; n > 0; {
+			dst, end := own.at(r)
+			c := min(end-r, n)
 			fn(dst, c)
 			r += c
-			taken += c
+			n -= c
 		}
 	}
 }
@@ -335,26 +359,26 @@ func forEachRankRun(rnk *ranking.Result, vec dist.VectorDist, slices int, fn fun
 // composePairsCSS regenerates ranks by comparing PS_c with PS_f
 // (Section 6.1) and builds (datum, rank) messages with a second slice
 // scan; only slices with at least one selected element are scanned.
-func composePairsCSS[T any](p transport.Endpoint, l *dist.Layout, a []T, m []bool, rnk *ranking.Result, vec dist.VectorDist, send [][]pair[T], whole bool) {
-	g := geomOf(l)
+func composePairsCSS[T any](p transport.Endpoint, w0 int, a []T, rnk *ranking.Result, vec dist.VectorDist, send [][]pair[T], whole bool) {
 	counts := make([]int, len(send))
-	forEachRankRun(rnk, vec, g.slices, func(dst, cnt int) { counts[dst] += cnt })
+	forEachRankRun(rnk, vec, func(dst, cnt int) { counts[dst] += cnt })
 	carvePairArena(send, counts)
-	tmp := make([]T, 0, g.w0)
-	p.Charge(g.slices) // check the counter array, one read per slice
-	for slice := 0; slice < g.slices; slice++ {
-		n := rnk.PSc[slice]
+	own := ownerCursor{vec: vec}
+	p.Charge(len(rnk.PSc)) // check the counter array, one read per slice
+	for slice, n := range rnk.PSc {
 		if n == 0 {
 			continue
 		}
-		tmp = collectSlice(p, g, a, m, slice, n, whole, tmp[:0])
-		r0 := rnk.PSf[slice]
-		for i, datum := range tmp {
-			r := r0 + i
-			dst, _ := vec.Owner(r)
-			send[dst] = append(send[dst], pair[T]{Datum: datum, Rank: r})
+		lo, hi := ranking.SliceBase(slice, w0), ranking.SliceBase(slice+1, w0)
+		r := rnk.PSf[slice]
+		it := mask.Ones(rnk.Words, lo, hi)
+		for off, ok := it.Next(); ok; off, ok = it.Next() {
+			dst, _ := own.at(r)
+			send[dst] = append(send[dst], pair[T]{Datum: a[off], Rank: r})
+			r++
 		}
-		p.Charge(n) // rank writes (the datum writes were charged above)
+		chargeRescan(p, rnk.Words, lo, w0, n, n, whole)
+		p.Charge(n) // rank writes
 	}
 }
 
@@ -363,14 +387,13 @@ func composePairsCSS[T any](p transport.Endpoint, l *dist.Layout, a []T, m []boo
 // the result vector's block boundaries, and each piece travels as
 // (base rank, count, data...). The smaller the vector's blocks, the
 // more segments (Section 6.2).
-func composeSegmentsCMS[T any](p transport.Endpoint, l *dist.Layout, a []T, m []bool, rnk *ranking.Result, vec dist.VectorDist, send [][]segMsg[T], whole bool) {
-	g := geomOf(l)
+func composeSegmentsCMS[T any](p transport.Endpoint, w0 int, a []T, rnk *ranking.Result, vec dist.VectorDist, send [][]segMsg[T], whole bool) {
 	// Sizing pre-pass (uncharged host bookkeeping): per-destination
 	// segment counts carve the segment arena; the data words of all
 	// segments share one arena, consumed in compose order.
 	segCounts := make([]int, len(send))
 	totalData := 0
-	forEachRankRun(rnk, vec, g.slices, func(dst, cnt int) {
+	forEachRankRun(rnk, vec, func(dst, cnt int) {
 		segCounts[dst]++
 		totalData += cnt
 	})
@@ -389,29 +412,25 @@ func composeSegmentsCMS[T any](p transport.Endpoint, l *dist.Layout, a []T, m []
 			off += c
 		}
 	}
+	// Each slice collects straight into its place in the data arena;
+	// its segments are consecutive subslices of that place.
 	dataArena := make([]T, totalData)
 	dOff := 0
-	tmp := make([]T, 0, g.w0)
-	p.Charge(g.slices) // check the counter array, one read per slice
-	for slice := 0; slice < g.slices; slice++ {
-		n := rnk.PSc[slice]
+	own := ownerCursor{vec: vec}
+	p.Charge(len(rnk.PSc)) // check the counter array, one read per slice
+	for slice, n := range rnk.PSc {
 		if n == 0 {
 			continue
 		}
-		tmp = collectSlice(p, g, a, m, slice, n, whole, tmp[:0])
-		r := rnk.PSf[slice]
-		taken := 0
-		for taken < n {
-			dst, _ := vec.Owner(r)
-			fit := vec.BlockRunEnd(r) - r
-			cnt := min(fit, n-taken)
-			data := dataArena[dOff : dOff+cnt : dOff+cnt]
-			dOff += cnt
-			copy(data, tmp[taken:taken+cnt])
-			send[dst] = append(send[dst], segMsg[T]{Base: r, Data: data})
+		collectSlice(p, rnk.Words, w0, a, slice, n, whole, dataArena[dOff:dOff+n])
+		for r, left := rnk.PSf[slice], n; left > 0; {
+			dst, end := own.at(r)
+			cnt := min(end-r, left)
+			send[dst] = append(send[dst], segMsg[T]{Base: r, Data: dataArena[dOff : dOff+cnt : dOff+cnt]})
 			p.Charge(2) // segment header (base rank + count)
+			dOff += cnt
 			r += cnt
-			taken += cnt
+			left -= cnt
 		}
 	}
 }

@@ -28,9 +28,11 @@ package pack
 
 import (
 	"fmt"
+	"slices"
 
 	"packunpack/internal/comm"
 	"packunpack/internal/dist"
+	"packunpack/internal/mask"
 	"packunpack/internal/ranking"
 	"packunpack/internal/transport"
 )
@@ -96,51 +98,25 @@ func mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// maskFingerprint hashes the local mask 64 elements at a time: the
-// booleans of one group pack into a bit word, and each word feeds the
-// splitmix64 mixer. The length folds in last so masks that differ only
-// by trailing false elements stay distinct.
-func maskFingerprint(m []bool) uint64 {
+// maskFingerprint hashes a local mask of n elements packed by
+// mask.Words: each word feeds the splitmix64 mixer, and the length
+// folds in last so masks that differ only by trailing false elements
+// stay distinct.
+func maskFingerprint(words []uint64, n int) uint64 {
 	h := uint64(0x243f6a8885a308d3)
-	i := 0
-	// Full 64-element words, packed 8 bits at a time with branchless
-	// bool-to-bit conversion: the mask is hashed on every transparent
-	// call, so this scan must stay cheap next to the copies it saves.
-	for ; i+64 <= len(m); i += 64 {
-		c := m[i : i+64 : i+64]
-		var w uint64
-		for j := 0; j < 64; j += 8 {
-			w |= (b2u(c[j]) | b2u(c[j+1])<<1 | b2u(c[j+2])<<2 | b2u(c[j+3])<<3 |
-				b2u(c[j+4])<<4 | b2u(c[j+5])<<5 | b2u(c[j+6])<<6 | b2u(c[j+7])<<7) << uint(j)
-		}
+	for _, w := range words {
 		h = mix64(h ^ w)
 	}
-	if i < len(m) {
-		var w uint64
-		for j, b := range m[i:] {
-			w |= b2u(b) << uint(j)
-		}
-		h = mix64(h ^ w)
-	}
-	return mix64(h ^ uint64(len(m)))
+	return mix64(h ^ uint64(n))
 }
 
-// b2u converts a bool to 0/1 without a branch (the compiler lowers
-// this pattern to a flag-set instruction).
-func b2u(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// planFingerprint is the local cache key: the mask hash with the
-// layout dimensions, scheme, vector block size and the requested
-// vector length folded in. vecLen is -1 for plain PACK (the vector
-// takes the selected count), the VECTOR length for PackVector, and N'
-// for UNPACK.
-func planFingerprint(l *dist.Layout, m []bool, opt Options, vecLen int) uint64 {
-	h := maskFingerprint(m)
+// planFingerprint is the local cache key: the hash of the packed local
+// mask with the layout dimensions, scheme, vector block size and the
+// requested vector length folded in. vecLen is -1 for plain PACK (the
+// vector takes the selected count), the VECTOR length for PackVector,
+// and N' for UNPACK.
+func planFingerprint(l *dist.Layout, words []uint64, opt Options, vecLen int) uint64 {
+	h := maskFingerprint(words, l.LocalSize())
 	h = mix64(h ^ uint64(len(l.Dims)))
 	for _, d := range l.Dims {
 		h = mix64(h ^ uint64(d.N))
@@ -214,50 +190,42 @@ func planLookup(p transport.Endpoint, cache *PlanCache, localFP uint64, algo com
 	return gfp, pl
 }
 
-// forEachCopyRun walks the selected elements in local scan order and
-// emits the maximal copy runs: a run extends while the next element is
-// adjacent in local memory, consecutive in global rank, and still
-// inside the current vector block. The walk streams records through
-// ranking.Result.IterRecords, so nothing per-element is materialized.
-func forEachCopyRun(rnk *ranking.Result, g sliceGeom, m []bool, vec dist.VectorDist, fn func(dst int, run copyRun)) {
-	cur := copyRun{}
-	curDst, curEnd := 0, 0
-	flush := func() {
-		if cur.Len > 0 {
-			fn(curDst, cur)
-			cur.Len = 0
+// forEachCopyRun emits the maximal copy runs of the packed mask in
+// local scan order: the runs of ranking.Result.ForEachRun (adjacent in
+// local memory, consecutive in global rank), split where they cross a
+// block of the vector distribution.
+func forEachCopyRun(rnk *ranking.Result, w0 int, vec dist.VectorDist, fn func(dst int, run copyRun)) {
+	own := ownerCursor{vec: vec}
+	rnk.ForEachRun(w0, func(off, r, n int) {
+		for n > 0 {
+			dst, end := own.at(r)
+			c := min(end-r, n)
+			fn(dst, copyRun{Src: off, Base: r, Len: c})
+			off += c
+			r += c
+			n -= c
 		}
-	}
-	rnk.IterRecords(g.l0, g.w0, g.t0, m, func(rec ranking.Record) {
-		r := rnk.RankOf(rec)
-		if cur.Len > 0 && rec.Off == cur.Src+cur.Len && r == cur.Base+cur.Len && r < curEnd {
-			cur.Len++
-			return
-		}
-		flush()
-		cur = copyRun{Src: rec.Off, Base: r, Len: 1}
-		curDst, _ = vec.Owner(r)
-		curEnd = vec.BlockRunEnd(r)
 	})
-	flush()
 }
 
 // CompilePlan runs the ranking collective once and compiles the
 // result into a bulk-copy plan for the calling processor. Every
 // processor of the machine must call it with the same layout and
 // options. The ranking stage always runs in its compact (counter-only)
-// form — the compiler streams records instead of materializing them —
-// so compiling under the simple storage scheme costs the same as under
-// the compact ones. The compile walk charges one mask rescan plus
-// three words per emitted run (the run triple write).
+// form — the compiler walks runs of the packed mask instead of
+// materializing records — so compiling under the simple storage scheme
+// costs the same as under the compact ones. The compile walk charges
+// one mask rescan plus three words per emitted run (the run triple
+// write).
 func CompilePlan(p transport.Endpoint, l *dist.Layout, m []bool, opt Options) (*Plan, error) {
-	return compilePlan(p, l, m, opt, -1)
-}
-
-func compilePlan(p transport.Endpoint, l *dist.Layout, m []bool, opt Options, vecLen int) (*Plan, error) {
 	if len(m) != l.LocalSize() {
 		return nil, fmt.Errorf("pack: local mask %d, layout needs %d", len(m), l.LocalSize())
 	}
+	return compilePlan(p, l, mask.Words(m), opt, -1)
+}
+
+// compilePlan compiles a plan from the local mask packed by mask.Words.
+func compilePlan(p transport.Endpoint, l *dist.Layout, words []uint64, opt Options, vecLen int) (*Plan, error) {
 	switch opt.Scheme {
 	case SchemeSSS, SchemeCSS, SchemeCMS:
 	default:
@@ -266,7 +234,7 @@ func compilePlan(p transport.Endpoint, l *dist.Layout, m []bool, opt Options, ve
 	if done := planCompileTimer(p); done != nil {
 		defer done()
 	}
-	rnk, err := ranking.Rank(p, l, m, ranking.Options{
+	rnk, err := ranking.RankWords(p, l, words, ranking.Options{
 		PRS: opt.PRS, KeepRecords: false, SeparatePrefixReduce: opt.SeparatePrefixReduce,
 	})
 	if err != nil {
@@ -289,11 +257,11 @@ func compilePlan(p transport.Endpoint, l *dist.Layout, m []bool, opt Options, ve
 		runs: make([][]copyRun, n), segWords: make([]int, n), reqWords: make([]int, n),
 	}
 	pl.opt.Plans = nil // a plan must not retain the cache that holds it
-	g := geomOf(l)
+	w0 := l.Dims[0].W
 	// Sizing pre-pass (uncharged host bookkeeping, the compose-arena
 	// idiom): per-destination run counts carve one arena.
 	counts := make([]int, n)
-	forEachCopyRun(rnk, g, m, vec, func(dst int, run copyRun) {
+	forEachCopyRun(rnk, w0, vec, func(dst int, run copyRun) {
 		counts[dst]++
 		pl.totalRuns++
 		pl.totalData += run.Len
@@ -310,11 +278,14 @@ func compilePlan(p transport.Endpoint, l *dist.Layout, m []bool, opt Options, ve
 			pl.runs[dst] = arena[off : off : off+c]
 			off += c
 		}
-		forEachCopyRun(rnk, g, m, vec, func(dst int, run copyRun) {
+		forEachCopyRun(rnk, w0, vec, func(dst int, run copyRun) {
 			pl.runs[dst] = append(pl.runs[dst], run)
 		})
 	}
-	p.Charge(len(m) + 3*pl.totalRuns) // rescan reads + run triple writes
+	// A cached plan keeps only counters and runs: the packed mask stays
+	// with the call that compiled it.
+	rnk.Words = nil
+	p.Charge(l.LocalSize() + 3*pl.totalRuns) // rescan reads + run triple writes
 	return pl, nil
 }
 
@@ -372,11 +343,11 @@ func execPackPlan[T any](p transport.Endpoint, pl *Plan, a []T, pad []T) (*Resul
 	recv := comm.AlltoallVW(comm.World(p), send, pl.segWords, pl.opt.A2A)
 	p.SetPhase(prev)
 	ops := 0
+	own := ownerCursor{vec: vec}
 	for _, buf := range recv {
 		for _, seg := range buf {
 			ops += 2 + len(seg.Data)
-			_, lo := vec.Owner(seg.Base)
-			copy(res.V[lo:], seg.Data)
+			copy(res.V[own.localIndex(seg.Base):], seg.Data)
 		}
 	}
 	p.Charge(ops) // per segment: header read + bulk word copy
@@ -430,8 +401,7 @@ func execUnpackPlan[T any](p transport.Endpoint, pl *Plan, v []T, field []T) (*U
 	gotData := comm.AlltoallVOpt(world, replies, 1, pl.opt.A2A)
 	p.SetPhase(prev)
 
-	res := &UnpackResult[T]{A: make([]T, l.LocalSize()), Ranking: pl.rnk}
-	copy(res.A, field)
+	res := &UnpackResult[T]{A: slices.Clone(field), Ranking: pl.rnk}
 	p.Charge(l.LocalSize()) // the local field-array transfer pass
 	for src, data := range gotData {
 		pos := 0
@@ -465,12 +435,13 @@ func PlanUnpack[T any](p transport.Endpoint, pl *Plan, v []T, field []T) (*Unpac
 // packPlanned is the transparent cache path of packImpl: fingerprint,
 // collective lookup, compile on a miss, bulk execute.
 func packPlanned[T any](p transport.Endpoint, l *dist.Layout, a []T, m []bool, opt Options, pad []T, nVec int) (*Result[T], error) {
-	fp := planFingerprint(l, m, opt, nVec)
+	words := mask.Words(m)
+	fp := planFingerprint(l, words, opt, nVec)
 	p.Charge(len(m)/64 + 1) // mask hashing, one op per 64-element word
 	gfp, pl := planLookup(p, opt.Plans, fp, opt.PRS)
 	if pl == nil {
 		var err error
-		pl, err = compilePlan(p, l, m, opt, nVec)
+		pl, err = compilePlan(p, l, words, opt, nVec)
 		if err != nil {
 			return nil, err
 		}
@@ -482,12 +453,13 @@ func packPlanned[T any](p transport.Endpoint, l *dist.Layout, a []T, m []bool, o
 
 // unpackPlanned is the transparent cache path of Unpack.
 func unpackPlanned[T any](p transport.Endpoint, l *dist.Layout, v []T, nPrime int, m []bool, field []T, opt Options) (*UnpackResult[T], error) {
-	fp := planFingerprint(l, m, opt, nPrime)
+	words := mask.Words(m)
+	fp := planFingerprint(l, words, opt, nPrime)
 	p.Charge(len(m)/64 + 1) // mask hashing, one op per 64-element word
 	gfp, pl := planLookup(p, opt.Plans, fp, opt.PRS)
 	if pl == nil {
 		var err error
-		pl, err = compilePlan(p, l, m, opt, nPrime)
+		pl, err = compilePlan(p, l, words, opt, nPrime)
 		if err != nil {
 			return nil, err
 		}

@@ -410,25 +410,51 @@ func TestMaskFingerprintDistinguishes(t *testing.T) {
 	m1 := make([]bool, 130)
 	m2 := make([]bool, 130)
 	m1[129] = true
-	if maskFingerprint(m1) == maskFingerprint(m2) {
+	fp := func(m []bool) uint64 { return maskFingerprint(mask.Words(m), len(m)) }
+	if fp(m1) == fp(m2) {
 		t.Fatal("single-bit difference not reflected")
 	}
-	if maskFingerprint(m1[:64]) == maskFingerprint(m1[:65]) {
+	if fp(m1[:64]) == fp(m1[:65]) {
 		t.Fatal("length difference not reflected")
 	}
 	l := dist.MustLayout(dist.Dim{N: 16, P: 2, W: 4})
 	l2 := dist.MustLayout(dist.Dim{N: 16, P: 2, W: 2})
-	lm := make([]bool, l.LocalSize())
-	if planFingerprint(l, lm, Options{}, -1) == planFingerprint(l2, lm, Options{}, -1) {
+	lw := mask.Words(make([]bool, l.LocalSize()))
+	if planFingerprint(l, lw, Options{}, -1) == planFingerprint(l2, lw, Options{}, -1) {
 		t.Fatal("layout difference not reflected")
 	}
-	if planFingerprint(l, lm, Options{Scheme: SchemeCSS}, -1) == planFingerprint(l, lm, Options{Scheme: SchemeCMS}, -1) {
+	if planFingerprint(l, lw, Options{Scheme: SchemeCSS}, -1) == planFingerprint(l, lw, Options{Scheme: SchemeCMS}, -1) {
 		t.Fatal("scheme difference not reflected")
 	}
-	if planFingerprint(l, lm, Options{VectorW: 1}, -1) == planFingerprint(l, lm, Options{VectorW: 2}, -1) {
+	if planFingerprint(l, lw, Options{VectorW: 1}, -1) == planFingerprint(l, lw, Options{VectorW: 2}, -1) {
 		t.Fatal("vector block difference not reflected")
 	}
-	if planFingerprint(l, lm, Options{}, -1) == planFingerprint(l, lm, Options{}, 8) {
+	if planFingerprint(l, lw, Options{}, -1) == planFingerprint(l, lw, Options{}, 8) {
 		t.Fatal("vector length difference not reflected")
+	}
+}
+
+// TestMaskFingerprintPinned pins the fingerprint values: hashing the
+// packed words must give the same keys as the inline packer that
+// preceded mask.Words, for lengths around the word boundary.
+func TestMaskFingerprintPinned(t *testing.T) {
+	for _, c := range []struct {
+		n    int
+		want uint64
+	}{
+		{0, 0x2cb0f69f4abea221},
+		{1, 0x81c2b5d061575bb1},
+		{63, 0x244a58f51a00c9e9},
+		{64, 0xde44bc471e065b78},
+		{65, 0x2444db3e4f542eac},
+		{200, 0x54fd5855976be50e},
+	} {
+		m := make([]bool, c.n)
+		for i := range m {
+			m[i] = (i*i+3*i)%7 < 3
+		}
+		if got := maskFingerprint(mask.Words(m), c.n); got != c.want {
+			t.Errorf("n=%d: fingerprint %#x, want %#x", c.n, got, c.want)
+		}
 	}
 }

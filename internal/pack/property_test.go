@@ -247,3 +247,38 @@ func TestSoakRandomConfigs(t *testing.T) {
 		}
 	}
 }
+
+// TestPackPropertyMultiWordSlices draws layouts whose dimension-0
+// blocks hold 63, 64, 65 or 130 elements — slices that straddle or
+// span 64-element mask words — across every scheme, both slice-scan
+// policies and small vector blocks, and compares PACK and UNPACK with
+// the sequential oracle.
+func TestPackPropertyMultiWordSlices(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261017))
+	for iter := 0; iter < 40; iter++ {
+		w := []int{63, 64, 65, 130}[rng.Intn(4)]
+		d0 := dist.Dim{P: 1 + rng.Intn(3), W: w}
+		d0.N = d0.P * d0.W * (1 + rng.Intn(2))
+		dims := []dist.Dim{d0}
+		if rng.Intn(2) == 0 {
+			d1 := dist.Dim{P: 1 + rng.Intn(2), W: 1 + rng.Intn(2)}
+			d1.N = d1.P * d1.W * (1 + rng.Intn(2))
+			dims = append(dims, d1)
+		}
+		l := dist.MustLayout(dims...)
+		shape := make([]int, l.Rank())
+		for i, d := range l.Dims {
+			shape[i] = d.N
+		}
+		gen := mask.NewRandom(rng.Float64(), rng.Uint64(), shape...)
+		opt := Options{
+			Scheme:         []Scheme{SchemeSSS, SchemeCSS, SchemeCMS}[rng.Intn(3)],
+			VectorW:        []int{0, 1, 7}[rng.Intn(3)],
+			WholeSliceScan: rng.Intn(2) == 0,
+		}
+		runPack(t, l, gen, opt)
+		if opt.Scheme != SchemeCMS {
+			runUnpackW(t, l, gen, rng.Intn(5), opt)
+		}
+	}
+}

@@ -2,9 +2,11 @@ package pack
 
 import (
 	"fmt"
+	"slices"
 
 	"packunpack/internal/comm"
 	"packunpack/internal/dist"
+	"packunpack/internal/mask"
 	"packunpack/internal/ranking"
 	"packunpack/internal/transport"
 )
@@ -104,8 +106,9 @@ func Unpack[T any](p transport.Endpoint, l *dist.Layout, v []T, nPrime int, m []
 	if opt.Scheme == SchemeSSS {
 		recIdx = make([][]int, n)
 		counts := make([]int, n)
+		own := ownerCursor{vec: vec}
 		for _, rec := range rnk.Records {
-			dst, _ := vec.Owner(rnk.RankOf(rec))
+			dst, _ := own.at(rnk.RankOf(rec))
 			counts[dst]++
 		}
 		carveReqs(counts)
@@ -122,9 +125,10 @@ func Unpack[T any](p transport.Endpoint, l *dist.Layout, v []T, nPrime int, m []
 			recIdx[dst] = idxArena[off : off : off+c]
 			off += c
 		}
+		own = ownerCursor{vec: vec}
 		for ri, rec := range rnk.Records {
 			r := rnk.RankOf(rec)
-			dst, _ := vec.Owner(r)
+			dst, _ := own.at(r)
 			reqs[dst] = append(reqs[dst], reqSeg{Base: r, Count: 1})
 			recIdx[dst] = append(recIdx[dst], ri)
 			reqWords[dst]++ // one word per individual rank request
@@ -132,9 +136,8 @@ func Unpack[T any](p transport.Endpoint, l *dist.Layout, v []T, nPrime int, m []
 		p.Charge(2 * len(rnk.Records)) // resolve rank, write request
 	} else {
 		placement = make([][]placeSeg, n)
-		g := geomOf(l)
 		counts := make([]int, n)
-		forEachRankRun(rnk, vec, g.slices, func(dst, cnt int) { counts[dst]++ })
+		forEachRankRun(rnk, vec, func(dst, cnt int) { counts[dst]++ })
 		carveReqs(counts)
 		total := 0
 		for _, c := range counts {
@@ -149,18 +152,12 @@ func Unpack[T any](p transport.Endpoint, l *dist.Layout, v []T, nPrime int, m []
 			placement[dst] = placeArena[off : off : off+c]
 			off += c
 		}
-		p.Charge(g.slices) // check the counter array, one read per slice
-		for slice := 0; slice < g.slices; slice++ {
-			cnt := rnk.PSc[slice]
-			if cnt == 0 {
-				continue
-			}
-			r := rnk.PSf[slice]
-			taken := 0
-			for taken < cnt {
-				dst, _ := vec.Owner(r)
-				fit := vec.BlockRunEnd(r) - r
-				c := min(fit, cnt-taken)
+		own := ownerCursor{vec: vec}
+		p.Charge(len(rnk.PSc)) // check the counter array, one read per slice
+		for slice, cnt := range rnk.PSc {
+			for r, taken := rnk.PSf[slice], 0; taken < cnt; {
+				dst, end := own.at(r)
+				c := min(end-r, cnt-taken)
 				reqs[dst] = append(reqs[dst], reqSeg{Base: r, Count: c})
 				placement[dst] = append(placement[dst], placeSeg{slice: slice, skip: taken, count: c})
 				reqWords[dst] += 2
@@ -186,12 +183,10 @@ func Unpack[T any](p transport.Endpoint, l *dist.Layout, v []T, nPrime int, m []
 
 	// ---- Place: field values where the mask is false, vector data
 	// where it is true. ----
-	res := &UnpackResult[T]{A: make([]T, l.LocalSize()), Ranking: rnk}
-	for off, sel := range m {
-		if !sel {
-			res.A[off] = field[off]
-		}
-	}
+	// Cloning the whole field is exact: the placement below overwrites
+	// every selected position (placeIntoSlice panics otherwise). A
+	// clone also skips zeroing the result before the copy.
+	res := &UnpackResult[T]{A: slices.Clone(field), Ranking: rnk}
 	p.Charge(l.LocalSize()) // the local field-array transfer pass
 	if opt.Scheme == SchemeSSS {
 		for src, data := range gotData {
@@ -202,11 +197,12 @@ func Unpack[T any](p transport.Endpoint, l *dist.Layout, v []T, nPrime int, m []
 			p.Charge(2 * len(data)) // read record, write datum
 		}
 	} else {
-		g := geomOf(l)
+		w0 := l.Dims[0].W
 		for src, data := range gotData {
 			pos := 0
 			for _, pl := range placement[src] {
-				pos += placeIntoSlice(p, g, res.A, m, pl.slice, pl.skip, pl.count, data[pos:], opt.WholeSliceScan)
+				placeIntoSlice(p, rnk.Words, w0, res.A, pl.slice, pl.skip, data[pos:pos+pl.count], opt.WholeSliceScan)
+				pos += pl.count
 			}
 		}
 	}
@@ -230,9 +226,10 @@ func serveVecRequests[T any](p transport.Endpoint, vec dist.VectorDist, v []T, g
 			total += rq.Count
 		}
 		out := make([]T, 0, total)
+		own := ownerCursor{vec: vec}
 		for _, rq := range list {
 			p.Charge(1 + rq.Count) // read request, copy data
-			_, lo := vec.Owner(rq.Base)
+			lo := own.localIndex(rq.Base)
 			out = append(out, v[lo:lo+rq.Count]...)
 		}
 		replies[src] = out
@@ -241,33 +238,23 @@ func serveVecRequests[T any](p transport.Endpoint, vec dist.VectorDist, v []T, g
 }
 
 // placeIntoSlice scatters data into the slice's selected positions,
-// skipping the first skip selected positions, writing count elements.
-// It returns count. The rescan mirrors the compact storage scheme's
-// collectSlice.
-func placeIntoSlice[T any](p transport.Endpoint, g sliceGeom, a []T, m []bool, slice, skip, count int, data []T, whole bool) int {
-	base := g.base(slice)
-	seen := 0
+// skipping the first skip of them. The rescan mirrors the compact
+// storage scheme's collectSlice: it is charged up to the last position
+// written, the (skip+len(data))-th selected element.
+func placeIntoSlice[T any](p transport.Endpoint, words []uint64, w0 int, a []T, slice, skip int, data []T, whole bool) {
+	lo, hi := ranking.SliceBase(slice, w0), ranking.SliceBase(slice+1, w0)
+	chargeRescan(p, words, lo, w0, skip+len(data), len(data), whole)
 	written := 0
-	scanned := 0
-	for i := 0; i < g.w0; i++ {
-		scanned++
-		if m[base+i] {
-			if seen >= skip && written < count {
-				a[base+i] = data[written]
-				written++
-				if written == count && !whole {
-					break
-				}
-			}
-			seen++
-			if seen >= skip+count && !whole {
-				break
-			}
+	it := mask.Ones(words, lo, hi)
+	for off, ok := it.Next(); ok && written < len(data); off, ok = it.Next() {
+		if skip > 0 {
+			skip--
+			continue
 		}
+		a[off] = data[written]
+		written++
 	}
-	p.Charge(scanned + count)
-	if written != count {
-		panic(fmt.Sprintf("pack: internal error: placed %d of %d elements in slice %d", written, count, slice))
+	if written != len(data) {
+		panic(fmt.Sprintf("pack: internal error: placed %d of %d elements in slice %d", written, len(data), slice))
 	}
-	return count
 }

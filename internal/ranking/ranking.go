@@ -31,6 +31,7 @@ import (
 
 	"packunpack/internal/comm"
 	"packunpack/internal/dist"
+	"packunpack/internal/mask"
 	"packunpack/internal/transport"
 )
 
@@ -87,6 +88,10 @@ type Result struct {
 	// LocalTrue is E_i, the number of selected elements on this
 	// processor.
 	LocalTrue int
+	// Words is the local mask packed by mask.Words, for the stages
+	// after ranking: slice s is the bit range [s*W_0, (s+1)*W_0).
+	// Nil on results that a compiled plan holds.
+	Words []uint64
 }
 
 // geometry bundles the per-step index arithmetic of the base-rank
@@ -154,9 +159,19 @@ func DimGroups(p transport.Endpoint, l *dist.Layout) ([]comm.Group, error) {
 // local row-major order (dimension 0 fastest); its length must be the
 // layout's local size. Every processor of the machine must call Rank
 // with the same layout and options.
-func Rank(p transport.Endpoint, l *dist.Layout, mask []bool, opt Options) (*Result, error) {
-	if len(mask) != l.LocalSize() {
-		return nil, fmt.Errorf("ranking: local mask has %d elements, layout needs %d", len(mask), l.LocalSize())
+func Rank(p transport.Endpoint, l *dist.Layout, m []bool, opt Options) (*Result, error) {
+	if len(m) != l.LocalSize() {
+		return nil, fmt.Errorf("ranking: local mask has %d elements, layout needs %d", len(m), l.LocalSize())
+	}
+	return RankWords(p, l, mask.Words(m), opt)
+}
+
+// RankWords is Rank over a local mask already packed by mask.Words.
+// The result keeps words as Result.Words.
+func RankWords(p transport.Endpoint, l *dist.Layout, words []uint64, opt Options) (*Result, error) {
+	n := l.LocalSize()
+	if len(words) != (n+63)/64 {
+		return nil, fmt.Errorf("ranking: local mask has %d words, layout needs %d", len(words), (n+63)/64)
 	}
 	groups, err := DimGroups(p, l)
 	if err != nil {
@@ -166,25 +181,32 @@ func Rank(p transport.Endpoint, l *dist.Layout, mask []bool, opt Options) (*Resu
 	d := l.Rank()
 
 	// ---- Initial step: local scan (Section 5.2). ----
-	res := &Result{}
+	// L_0 = T_0*W_0, so slice s is exactly the local offsets
+	// [s*W_0, (s+1)*W_0) and its count is one range popcount.
+	res := &Result{Words: words}
 	ps := make([][]int, d)
 	ps[0] = make([]int, geo.size(0))
-	l0 := l.Dims[0].L()
 	w0 := l.Dims[0].W
-	t0 := l.Dims[0].T()
-	for off, sel := range mask {
-		if !sel {
+	if opt.KeepRecords {
+		if e := mask.CountRange(words, 0, n); e > 0 {
+			res.Records = make([]Record, 0, e)
+		}
+	}
+	for slice := range ps[0] {
+		lo, hi := SliceBase(slice, w0), SliceBase(slice+1, w0)
+		if !opt.KeepRecords {
+			ps[0][slice] = mask.CountRange(words, lo, hi)
+			res.LocalTrue += ps[0][slice]
 			continue
 		}
-		rest := off / l0
-		slice := rest*t0 + (off%l0)/w0
-		if opt.KeepRecords {
+		it := mask.Ones(words, lo, hi)
+		for off, ok := it.Next(); ok; off, ok = it.Next() {
 			res.Records = append(res.Records, Record{Off: off, Slice: slice, InitRank: ps[0][slice]})
+			ps[0][slice]++
 		}
-		ps[0][slice]++
-		res.LocalTrue++
+		res.LocalTrue += ps[0][slice]
 	}
-	p.Charge(len(mask)) // read every mask element
+	p.Charge(n) // read every mask element
 	if opt.KeepRecords {
 		// SSS: save a d+3-item record per element — a local index on
 		// each dimension, a tile number, an initial rank and a
@@ -326,30 +348,36 @@ func Rank(p transport.Endpoint, l *dist.Layout, mask []bool, opt Options) (*Resu
 // base-rank array.
 func (r *Result) RankOf(rec Record) int { return r.PSf[rec.Slice] + rec.InitRank }
 
-// IterRecords streams the simple-storage-scheme records of the mask's
-// selected elements in local scan order without requiring
-// Options.KeepRecords: the counter array PS_c already pins how many
-// selected elements each slice holds, so a rescan of the mask
-// regenerates every Record on the fly. Consumers that only need run
-// boundaries (the plan compiler) use this instead of materializing —
-// and then retaining — the full Records slice. l0, w0 and t0 are the
-// layout's dimension-0 local extent, block size and tile count (the
-// slice arithmetic of SliceBase). The walk stops scanning a slice as
-// soon as its PS_c count is exhausted, mirroring the compact schemes'
-// stop-early policy; the caller charges the scan.
-func (r *Result) IterRecords(l0, w0, t0 int, mask []bool, fn func(Record)) {
-	for slice, n := range r.PSc {
-		if n == 0 {
+// ForEachRun walks the selected elements of Words in local scan order
+// as maximal runs that are adjacent in local memory and consecutive in
+// global rank: fn sees each run's first local offset, its first global
+// rank and its length. The runs of each slice come from mask.Runs, so
+// the walk costs one step per run, not per element. w0 is the layout's
+// dimension-0 block size; runs may cross slices when the next slice
+// continues both the offsets and the ranks. The caller charges the
+// walk.
+func (r *Result) ForEachRun(w0 int, fn func(off, rank, n int)) {
+	cur, curRank, curLen := 0, 0, 0
+	for slice, c := range r.PSc {
+		if c == 0 {
 			continue
 		}
-		base := SliceBase(slice, l0, w0, t0)
-		k := 0
-		for i := 0; i < w0 && k < n; i++ {
-			if mask[base+i] {
-				fn(Record{Off: base + i, Slice: slice, InitRank: k})
-				k++
+		rank := r.PSf[slice]
+		it := mask.Runs(r.Words, SliceBase(slice, w0), SliceBase(slice+1, w0))
+		for off, n, ok := it.Next(); ok; off, n, ok = it.Next() {
+			if curLen > 0 && off == cur+curLen && rank == curRank+curLen {
+				curLen += n
+			} else {
+				if curLen > 0 {
+					fn(cur, curRank, curLen)
+				}
+				cur, curRank, curLen = off, rank, n
 			}
+			rank += n
 		}
+	}
+	if curLen > 0 {
+		fn(cur, curRank, curLen)
 	}
 }
 
@@ -360,11 +388,7 @@ func cloneInts(v []int) []int {
 }
 
 // SliceBase returns the flat local offset of the first element of the
-// given slice, for a layout with local extent l0, block size w0 and t0
-// tiles along dimension 0. Slices are W_0 contiguous local elements:
-// slice s covers offsets [SliceBase, SliceBase+W_0).
-func SliceBase(slice, l0, w0, t0 int) int {
-	rest := slice / t0
-	tile := slice % t0
-	return rest*l0 + tile*w0
-}
+// given slice for a layout with dimension-0 block size w0. Slices are
+// W_0 contiguous local elements, and the local extent L_0 = T_0*W_0,
+// so slice s covers offsets [s*W_0, (s+1)*W_0).
+func SliceBase(slice, w0 int) int { return slice * w0 }

@@ -234,10 +234,11 @@ func TestDimGroups(t *testing.T) {
 }
 
 func TestSliceBase(t *testing.T) {
-	// L0=8, W0=2, T0=4: slice s covers offsets [base, base+2).
+	// L0=8, W0=2, T0=4: slice s covers offsets [base, base+2), and
+	// slice 4 (the first of the next dimension-1 row) starts at L0.
 	cases := map[int]int{0: 0, 1: 2, 2: 4, 3: 6, 4: 8, 5: 10}
 	for slice, want := range cases {
-		if got := SliceBase(slice, 8, 2, 4); got != want {
+		if got := SliceBase(slice, 2); got != want {
 			t.Errorf("SliceBase(%d) = %d, want %d", slice, got, want)
 		}
 	}

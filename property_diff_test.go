@@ -26,13 +26,15 @@ type propCase struct {
 	density  float64 // for maskKind 0
 	scheme   pu.Scheme
 	vectorW  int
+	whole    bool // Options.WholeSliceScan
 	faults   *pu.FaultConfig
-	valSeed  int64 // seeds array values and mask draws
+	backend  pu.Backend // fault plans need the emulator
+	valSeed  int64      // seeds array values and mask draws
 }
 
 func (c propCase) String() string {
-	return fmt.Sprintf("dims=%v maskKind=%d density=%.2f scheme=%v vectorW=%d faults=%v valSeed=%d",
-		c.dims, c.maskKind, c.density, c.scheme, c.vectorW, c.faults.String(), c.valSeed)
+	return fmt.Sprintf("dims=%v maskKind=%d density=%.2f scheme=%v vectorW=%d whole=%v faults=%v backend=%v valSeed=%d",
+		c.dims, c.maskKind, c.density, c.scheme, c.vectorW, c.whole, c.faults.String(), c.backend, c.valSeed)
 }
 
 // drawCase derives one configuration from a case seed. Extent products
@@ -90,6 +92,36 @@ func drawCase(rng *rand.Rand) propCase {
 	return c
 }
 
+// drawMultiWordCase derives a case whose dimension-0 blocks hold 63,
+// 64, 65 or 130 elements, so slices straddle or span 64-element mask
+// words, under every scheme and both slice-scan policies, on the
+// emulator or the real shared-memory backend.
+func drawMultiWordCase(rng *rand.Rand) propCase {
+	w := []int{63, 64, 65, 130}[rng.Intn(4)]
+	p := 1 + rng.Intn(3)
+	dims := []pu.Dim{{N: w*p*(1+rng.Intn(2)) - rng.Intn(w), P: p, W: w}}
+	if rng.Intn(2) == 0 {
+		dims = append(dims, pu.Dim{N: 1 + rng.Intn(4), P: 1 + rng.Intn(2), W: 1 + rng.Intn(2)})
+	}
+	c := propCase{
+		dims:    dims,
+		scheme:  []pu.Scheme{pu.SSS, pu.CSS, pu.CMS}[rng.Intn(3)],
+		vectorW: []int{0, 1, 7}[rng.Intn(3)],
+		whole:   rng.Intn(2) == 0,
+		backend: []pu.Backend{pu.BackendSim, pu.BackendReal}[rng.Intn(2)],
+		valSeed: rng.Int63(),
+	}
+	switch k := rng.Intn(10); {
+	case k == 0:
+		c.maskKind = 1
+	case k == 1:
+		c.maskKind = 2
+	default:
+		c.density = rng.Float64()
+	}
+	return c
+}
+
 // runPropCase executes one case end to end and returns a description of
 // the first divergence from the sequential reference, or nil.
 func runPropCase(c propCase) error {
@@ -132,11 +164,15 @@ func runPropCase(c propCase) error {
 		uscheme = pu.CSS // CMS is PACK-only
 	}
 
-	m := pu.NewMachine(pu.Config{Procs: nprocs, Params: pu.CM5Params(), Faults: c.faults})
+	cfg := pu.Config{Procs: nprocs, Params: pu.CM5Params(), Faults: c.faults}
+	m, err := pu.NewBackendMachine(c.backend, cfg)
+	if err != nil {
+		return fmt.Errorf("machine: %w", err)
+	}
 	packRes := make([]*pu.PackResult[int], nprocs)
 	unpackOut := make([][]int, nprocs)
-	err = m.Run(func(p *pu.Proc) {
-		opt := pu.Options{Scheme: c.scheme, VectorW: c.vectorW}
+	err = m.Run(func(p pu.Endpoint) {
+		opt := pu.Options{Scheme: c.scheme, VectorW: c.vectorW, WholeSliceScan: c.whole}
 		res, err := pu.PackGeneral(p, layout, locals[p.Rank()], maskLocals[p.Rank()], opt)
 		if err != nil {
 			panic(err)
@@ -180,10 +216,13 @@ func runPropCase(c propCase) error {
 	cache := pu.NewPlanCache()
 	plannedV := make([][2][]int, nprocs)
 	plannedA := make([][2][]int, nprocs)
-	pm := pu.NewMachine(pu.Config{Procs: nprocs, Params: pu.CM5Params(), Faults: c.faults})
-	err = pm.Run(func(p *pu.Proc) {
+	pm, err := pu.NewBackendMachine(c.backend, cfg)
+	if err != nil {
+		return fmt.Errorf("planned machine: %w", err)
+	}
+	err = pm.Run(func(p pu.Endpoint) {
 		for call := 0; call < 2; call++ {
-			opt := pu.Options{Scheme: c.scheme, VectorW: c.vectorW, Plans: cache}
+			opt := pu.Options{Scheme: c.scheme, VectorW: c.vectorW, WholeSliceScan: c.whole, Plans: cache}
 			res, err := pu.PackGeneral(p, layout, locals[p.Rank()], maskLocals[p.Rank()], opt)
 			if err != nil {
 				panic(err)
@@ -262,11 +301,24 @@ func sameDims(a, b []pu.Dim) bool {
 }
 
 func TestPropertyDifferential(t *testing.T) {
-	const cases = 220
-	rng := rand.New(rand.NewSource(20260806))
+	checkPropCases(t, 220, 20260806, drawCase)
+}
+
+// TestPropertyDifferentialMultiWord runs the same differential check
+// over slices wider than, equal to and narrower than one 64-element
+// mask word, on both backends.
+func TestPropertyDifferentialMultiWord(t *testing.T) {
+	checkPropCases(t, 60, 20261017, drawMultiWordCase)
+}
+
+// checkPropCases draws cases from per-case seeds and fails on the first
+// divergence, shrinking it first.
+func checkPropCases(t *testing.T, cases int, seed int64, draw func(*rand.Rand) propCase) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < cases; i++ {
 		caseSeed := rng.Int63()
-		c := drawCase(rand.New(rand.NewSource(caseSeed)))
+		c := draw(rand.New(rand.NewSource(caseSeed)))
 		err := runPropCase(c)
 		if err == nil {
 			continue
